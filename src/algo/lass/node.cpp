@@ -13,7 +13,6 @@ namespace mra::algo::lass {
 
 LassNode::LassNode(const LassConfig& config, Trace* trace)
     : cfg_(config),
-      mark_fn_(make_mark_function(config.mark_policy)),
       trace_(trace),
       my_vector_(static_cast<std::size_t>(config.num_resources), 0),
       t_required_(config.num_resources),
@@ -30,12 +29,12 @@ void LassNode::on_start() {
   // Initialization (Annex A, lines 45-67): the elected node owns every
   // token; everyone else points its father at the elected node. Only the
   // elected node materializes token state up front (its copies are the
-  // authoritative ones); every other site starts with zero token snapshots
-  // and materializes them lazily via tok() — a fresh LassToken(r, N) equals
+  // authoritative ones); every other site starts with zero slots and
+  // materializes them lazily via slot() — a fresh LassToken(r, N) equals
   // the initial state, so the lazy path is behavior-identical (§13).
   tok_dir_.assign(static_cast<std::size_t>(cfg_.num_resources),
                   id() == cfg_.elected_node ? kNoSite : cfg_.elected_node);
-  last_tok_.clear();
+  slots_.clear();
   if (id() == cfg_.elected_node) {
     for (ResourceId r = 0; r < cfg_.num_resources; ++r) {
       (void)tok(r);
@@ -45,7 +44,7 @@ void LassNode::on_start() {
 }
 
 void LassNode::trace(const std::string& what) {
-  if (trace_ != nullptr && trace_->enabled() && network_ != nullptr) {
+  if (tracing() && network_ != nullptr) {
     trace_->log(network_->simulator().now(), id(), what);
   }
 }
@@ -56,22 +55,23 @@ ReqItem LassNode::my_res_request(ResourceId r) const {
   item.r = r;
   item.sinit = id();
   item.id = request_seq_;
-  item.mark = mark_fn_(my_vector_);
+  item.mark = current_mark();
   return item;
 }
 
 bool LassNode::is_obsolete(const ReqItem& req) const {
+  // An unmaterialized token reads all-zero and ids start at 1: never
+  // obsolete.
+  const Slot* s = find_slot(req.r);
+  return s != nullptr && is_obsolete(s->snapshot, req);
+}
+
+bool LassNode::is_obsolete(const LassToken& t, const ReqItem& req) {
   // §4.2.1: a request is obsolete when the (locally known) token state shows
   // it has already been served. last_cs / last_req_cnt only grow, so a stale
-  // local snapshot can only under-approximate obsolescence — safe. An
-  // unmaterialized token reads all-zero and ids start at 1: never obsolete.
-  const LassToken* t = find_tok(req.r);
-  if (t == nullptr) return false;
-  if (req.id <= t->last_cs(req.sinit)) return true;
-  if (req.type == ReqType::kCnt && req.id <= t->last_req_cnt(req.sinit)) {
-    return true;
-  }
-  return false;
+  // local snapshot can only under-approximate obsolescence — safe.
+  if (req.id <= t.last_cs(req.sinit)) return true;
+  return req.type == ReqType::kCnt && req.id <= t.last_req_cnt(req.sinit);
 }
 
 // ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ void LassNode::do_request(const ResourceSet& resources) {
   state_ = ProcessState::kWaitS;
   cnt_needed_.clear();
   single_res_registered_ = false;
-  trace("Request_CS " + resources.to_string());
+  if (tracing()) trace("Request_CS " + resources.to_string());
 
   const bool single_res_opt =
       cfg_.opt_single_resource && resources.size() == 1;
@@ -94,8 +94,8 @@ void LassNode::do_request(const ResourceSet& resources) {
   resources.for_each([&](ResourceId r) {
     if (owns(r)) {
       // We hold the token: reserve and increment the counter locally.
-      my_vector_[static_cast<std::size_t>(r)] = tok(r).counter;
-      ++tok(r).counter;
+      LassToken& t = tok(r);
+      set_counter(r, t.counter++);
     } else {
       cnt_needed_.insert(r);
       ReqItem item;
@@ -124,7 +124,7 @@ void LassNode::do_request(const ResourceSet& resources) {
 // ---------------------------------------------------------------------------
 void LassNode::do_release() {
   assert(state_ == ProcessState::kInCS && "release outside CS");
-  trace("Release_CS " + t_required_.to_string());
+  if (tracing()) trace("Release_CS " + t_required_.to_string());
   state_ = ProcessState::kIdle;
   loan_asked_ = false;
 
@@ -155,6 +155,7 @@ void LassNode::do_release() {
   t_required_.clear();
   current_.clear();
   std::fill(my_vector_.begin(), my_vector_.end(), 0);
+  mark_valid_ = false;
   flush_responses();
 }
 
@@ -164,10 +165,13 @@ void LassNode::enter_cs() {
   state_ = ProcessState::kInCS;
   bool via_loan = false;
   t_required_.for_each([&](ResourceId r) {
-    if (tok(r).lender != kNoSite && tok(r).lender != id()) via_loan = true;
+    const SiteId lender = tok(r).lender;
+    if (lender != kNoSite && lender != id()) via_loan = true;
   });
   if (via_loan) ++loans_used_;
-  trace("enter CS " + t_required_.to_string() + (via_loan ? " (loan)" : ""));
+  if (tracing()) {
+    trace("enter CS " + t_required_.to_string() + (via_loan ? " (loan)" : ""));
+  }
   notify_granted();
 }
 
@@ -188,7 +192,7 @@ void LassNode::send_token(SiteId dst, ResourceId r) {
 void LassNode::process_cnt_needed_empty() {
   assert(state_ == ProcessState::kWaitS && cnt_needed_.empty());
   state_ = ProcessState::kWaitCS;
-  trace("waitCS mark=" + std::to_string(mark_fn_(my_vector_)));
+  if (tracing()) trace("waitCS mark=" + std::to_string(current_mark()));
   t_required_.for_each([&](ResourceId r) {
     if (!owns(r)) {
       if (single_res_registered_) return;  // §4.6.1: already registered
@@ -208,8 +212,9 @@ bool LassNode::can_lend(const ReqItem& req) const {
   // both of which materialize), so a missing snapshot means not borrowed.
   bool borrowed = false;
   t_owned_.for_each([&](ResourceId r) {
-    const LassToken* t = find_tok(r);
-    if (t != nullptr && t->lender != kNoSite && t->lender != id()) {
+    const Slot* s = find_slot(r);
+    if (s != nullptr && s->snapshot.lender != kNoSite &&
+        s->snapshot.lender != id()) {
       borrowed = true;
     }
   });
@@ -234,11 +239,15 @@ void LassNode::process_req_loan(const ReqItem& req) {
   if (is_obsolete(req)) return;
   if (req.sinit == id()) return;  // our own loan request came home
   if (can_lend(req)) {
-    trace("lend " + req.missing.to_string() + " to s" + std::to_string(req.sinit));
+    if (tracing()) {
+      trace("lend " + req.missing.to_string() + " to s" +
+            std::to_string(req.sinit));
+    }
     t_lent_ = req.missing;
     req.missing.for_each([&](ResourceId rp) {
-      tok(rp).lender = id();
-      tok(rp).wqueue.remove_site(req.sinit);  // it gets the token directly
+      LassToken& t = tok(rp);
+      t.lender = id();
+      t.wqueue.remove_site(req.sinit);  // it gets the token directly
       send_token(req.sinit, rp);
     });
   } else {
@@ -255,14 +264,14 @@ void LassNode::process_req_loan(const ReqItem& req) {
 // ---------------------------------------------------------------------------
 void LassNode::process_update(const LassToken& t) {
   const ResourceId r = t.r;
-  LassToken& mine = tok(r);
+  Slot& s = slot(r);
+  LassToken& mine = s.snapshot;
   mine = t;
   t_owned_.insert(r);
   tok_dir(r) = kNoSite;
 
   if (cnt_needed_.contains(r)) {
-    my_vector_[static_cast<std::size_t>(r)] = mine.counter;
-    ++mine.counter;
+    set_counter(r, mine.counter++);
     cnt_needed_.erase(r);
   }
   if (t_lent_.contains(r)) {
@@ -281,14 +290,13 @@ void LassNode::process_update(const LassToken& t) {
   mine.wqueue.remove_site(id());
   mine.wloan.remove_site(id());
 
-  // Fold the local request history into the token (lines 145-158).
-  core::SmallVector<ReqItem, 1> pending;
-  if (auto it = pending_req_.find(r); it != pending_req_.end()) {
-    pending = std::move(it->second);
-    pending_req_.erase(it);
-  }
-  for (const ReqItem& req : pending) {
-    if (is_obsolete(req)) continue;
+  // Fold the local request history into the token (lines 145-158). Every
+  // entry is for r, so the loop below never touches another slot and `s`
+  // stays valid; the history is moved out so a spilled buffer goes back
+  // to the pool here.
+  const core::SmallVector<ReqItem, 1> history = std::move(s.history);
+  for (const ReqItem& req : history) {
+    if (is_obsolete(mine, req)) continue;
     if (req.sinit == id()) continue;  // [deviation 2] self-request, satisfied
     switch (req.type) {
       case ReqType::kCnt:
@@ -366,9 +374,11 @@ void LassNode::process_request_item(const ReqItem& req,
     return;
   }
 
-  // Not the holder: forward along the tree unless the father was already
-  // visited (cycle) — the token is then in transit towards a site that has
-  // this request in its history.
+  // Not the holder: keep the request in the local history (a future token
+  // visit serves it) and forward it along the tree unless the father was
+  // already visited (cycle) — the token is then in transit towards a site
+  // that has this request in its history.
+  slot(r).history.push_back(req);
   const SiteId father = tok_dir(r);
 
   // §4.6.2 second bullet: stop forwarding when we are certain to obtain the
@@ -377,19 +387,13 @@ void LassNode::process_request_item(const ReqItem& req,
     const bool we_precede =
         state_ == ProcessState::kWaitCS && t_required_.contains(r) &&
         my_res_request(r).precedes(req);
-    if (we_precede || t_lent_.contains(r)) {
-      pending_req_[r].push_back(req);
-      return;
-    }
+    if (we_precede || t_lent_.contains(r)) return;
   }
 
+  // [deviation 1] A visited father stops forwarding here; the history entry
+  // is what serves the request (lemma 6's argument).
   if (std::find(visited.begin(), visited.end(), father) == visited.end()) {
-    pending_req_[r].push_back(req);
     buffer_request(father, req);
-  } else {
-    // [deviation 1] Forwarding stops here; keep the request in the local
-    // history so a future token visit serves it (lemma 6's argument).
-    pending_req_[r].push_back(req);
   }
 }
 
@@ -414,11 +418,14 @@ void LassNode::handle_res_request_as_owner(const ReqItem& req) {
 // Receive Token (Annex A, lines 208-254)
 // ---------------------------------------------------------------------------
 void LassNode::serve_queues_after_token() {
+  // Both loops walk t_owned_ while send_token() erases from it. for_each
+  // reads each word once, so a token shipped earlier in the walk can still
+  // come up: owns() skips it. Nothing is inserted during the walk.
   // Lines 226-240: yield owned tokens according to the `/` order.
-  for (ResourceId r : t_owned_.to_vector()) {
-    if (!owns(r)) continue;  // may have been sent in an earlier iteration
+  t_owned_.for_each([&](ResourceId r) {
+    if (!owns(r)) return;  // may have been sent in an earlier iteration
     LassToken& t = tok(r);
-    if (t.wqueue.empty()) continue;
+    if (t.wqueue.empty()) return;
     if (state_ == ProcessState::kWaitS || state_ == ProcessState::kIdle ||
         !t_required_.contains(r)) {
       // waitS: our mark is not fixed, always yield (lines 230-232).
@@ -434,13 +441,13 @@ void LassNode::serve_queues_after_token() {
         send_token(head.sinit, r);
       }
     }
-  }
+  });
 
   // Lines 241-247: retry pending loan requests on every owned token.
-  for (ResourceId r : t_owned_.to_vector()) {
-    if (!owns(r)) continue;
+  t_owned_.for_each([&](ResourceId r) {
+    if (!owns(r)) return;
     LassToken& t = tok(r);
-    if (t.wloan.empty()) continue;
+    if (t.wloan.empty()) return;
     SortedRequestQueue::Items copy = t.wloan.items();
     t.wloan.clear();
     for (const ReqItem& req : copy) {
@@ -450,7 +457,7 @@ void LassNode::serve_queues_after_token() {
       if (!owns(req.r)) break;
       process_req_loan(req);
     }
-  }
+  });
 }
 
 void LassNode::maybe_initiate_loan() {
@@ -465,14 +472,14 @@ void LassNode::maybe_initiate_loan() {
     return;
   }
   loan_asked_ = true;
-  trace("ask loan for " + missing.to_string());
+  if (tracing()) trace("ask loan for " + missing.to_string());
   missing.for_each([&](ResourceId r) {
     ReqItem item;
     item.type = ReqType::kLoan;
     item.r = r;
     item.sinit = id();
     item.id = request_seq_;
-    item.mark = mark_fn_(my_vector_);
+    item.mark = current_mark();
     item.missing = missing;
     buffer_request(tok_dir(r), item);
   });
@@ -500,7 +507,7 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
     // Receive Counter (lines 255-262).
     for (const CounterItem& c : cnts->items) {
       if (!cnt_needed_.contains(c.r)) continue;  // duplicate/stale reply
-      my_vector_[static_cast<std::size_t>(c.r)] = c.value;
+      set_counter(c.r, c.value);
       cnt_needed_.erase(c.r);
       tok_dir(c.r) = from;  // line 260: the replier held the token
     }
@@ -524,7 +531,9 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
         enter_cs();
       } else {
         // Failed loan: give borrowed tokens back immediately (lines 216-223).
-        for (ResourceId r : t_owned_.to_vector()) {
+        // The walk only erases the token it is visiting (see
+        // serve_queues_after_token), so every visited token is owned.
+        t_owned_.for_each([&](ResourceId r) {
           LassToken& t = tok(r);
           if (t.lender != kNoSite && t.lender != id()) {
             const SiteId lender = t.lender;
@@ -537,9 +546,9 @@ void LassNode::on_message(SiteId from, const net::Message& msg) {
             send_token(lender, r);
             loan_asked_ = false;
             ++loans_failed_;
-            trace("loan failed, return r" + std::to_string(r));
+            if (tracing()) trace("loan failed, return r" + std::to_string(r));
           }
-        }
+        });
         if (state_ == ProcessState::kWaitS && cnt_needed_.empty()) {
           process_cnt_needed_empty();
         }

@@ -13,8 +13,10 @@ bool SortedRequestQueue::insert(const ReqItem& item) {
     if (same_site->id >= item.id) return false;  // existing is same or newer
     items_.erase(same_site);
   }
-  auto pos = std::find_if(items_.begin(), items_.end(),
-                          [&](const ReqItem& it) { return item.precedes(it); });
+  // Strictly `/`-sorted: the first entry `item` precedes, by binary search.
+  auto pos = std::upper_bound(
+      items_.begin(), items_.end(), item,
+      [](const ReqItem& a, const ReqItem& b) { return a.precedes(b); });
   items_.insert(pos, item);
   return true;
 }

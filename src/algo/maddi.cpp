@@ -45,8 +45,12 @@ void MaddiNode::insert_pending(ResourceId r, Pending p) {
     if (same->seq >= p.seq) return;
     pend.erase(same);
   }
-  pend.insert(std::find_if(pend.begin(), pend.end(),
-                           [&](const Pending& q) { return p.precedes(q); }),
+  // The list is sorted under the strict total order (timestamp, site), so
+  // the first entry p precedes is found by binary search.
+  pend.insert(std::upper_bound(pend.begin(), pend.end(), p,
+                               [](const Pending& a, const Pending& b) {
+                                 return a.precedes(b);
+                               }),
               p);
 }
 

@@ -1,6 +1,7 @@
 #include "check/violation.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -148,11 +149,9 @@ class Reader {
       ++pos_;
     }
     if (pos_ == start) fail("expected integer");
-    try {
-      return std::stoll(s_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("malformed integer");
-    }
+    std::int64_t value = 0;
+    if (!parses_whole(start, value)) fail("malformed integer");
+    return value;
   }
 
   double parse_number() {
@@ -164,11 +163,19 @@ class Reader {
       ++pos_;
     }
     if (pos_ == start) fail("expected number");
-    try {
-      return std::stod(s_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("malformed number");
-    }
+    double value = 0.0;
+    if (!parses_whole(start, value)) fail("malformed number");
+    return value;
+  }
+
+  /// True when s_[start, pos_) is exactly one number: from_chars must
+  /// succeed and consume the whole token ("1-2" or "1.2.3" do not).
+  template <typename T>
+  bool parses_whole(std::size_t start, T& value) const {
+    const char* first = s_.data() + start;
+    const char* last = s_.data() + pos_;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    return ec == std::errc() && end == last;
   }
 
   std::vector<double> parse_number_array() {

@@ -28,36 +28,37 @@ const char* to_string(MarkPolicy policy) {
   return "?";
 }
 
-MarkFunction make_mark_function(MarkPolicy policy) {
+double apply_mark(MarkPolicy policy, const CounterVector& v) {
   switch (policy) {
     case MarkPolicy::kAverageNonZero:
-      return [](const CounterVector& v) { return average_non_zero(v); };
-    case MarkPolicy::kMaxValue:
-      return [](const CounterVector& v) {
-        CounterValue m = 0;
-        for (CounterValue c : v) m = std::max(m, c);
-        return static_cast<double>(m);
-      };
-    case MarkPolicy::kSumNonZero:
-      return [](const CounterVector& v) {
-        double s = 0.0;
-        for (CounterValue c : v) s += static_cast<double>(c);
-        return s;
-      };
-    case MarkPolicy::kMinNonZero:
-      return [](const CounterVector& v) {
-        CounterValue m = std::numeric_limits<CounterValue>::max();
-        bool any = false;
-        for (CounterValue c : v) {
-          if (c != 0) {
-            m = std::min(m, c);
-            any = true;
-          }
+      return average_non_zero(v);
+    case MarkPolicy::kMaxValue: {
+      CounterValue m = 0;
+      for (CounterValue c : v) m = std::max(m, c);
+      return static_cast<double>(m);
+    }
+    case MarkPolicy::kSumNonZero: {
+      double s = 0.0;
+      for (CounterValue c : v) s += static_cast<double>(c);
+      return s;
+    }
+    case MarkPolicy::kMinNonZero: {
+      CounterValue m = std::numeric_limits<CounterValue>::max();
+      bool any = false;
+      for (CounterValue c : v) {
+        if (c != 0) {
+          m = std::min(m, c);
+          any = true;
         }
-        return any ? static_cast<double>(m) : 0.0;
-      };
+      }
+      return any ? static_cast<double>(m) : 0.0;
+    }
   }
   throw std::invalid_argument("unknown MarkPolicy");
+}
+
+MarkFunction make_mark_function(MarkPolicy policy) {
+  return [policy](const CounterVector& v) { return apply_mark(policy, v); };
 }
 
 }  // namespace mra

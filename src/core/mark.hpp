@@ -32,7 +32,10 @@ enum class MarkPolicy {
 
 [[nodiscard]] const char* to_string(MarkPolicy policy);
 
-/// Returns the function implementing `policy`.
+/// Applies `policy` to `v`: the single definition of every built-in A.
+[[nodiscard]] double apply_mark(MarkPolicy policy, const CounterVector& v);
+
+/// Returns `policy` as a callable (a thin wrapper over apply_mark).
 [[nodiscard]] MarkFunction make_mark_function(MarkPolicy policy);
 
 /// Applies the paper's default A (average of non-zero entries).

@@ -276,6 +276,27 @@ TEST(ViolationJson, EmptyListAndErrors) {
                std::runtime_error);
 }
 
+TEST(ViolationJson, RejectsAPrefixOfANumber) {
+  // std::stoll/stod used to read the leading number of the token and drop
+  // the rest, so "1-2" loaded as at = 1. The whole token must be a number.
+  for (const char* bad : {"1-2", "--1", "1.2.3", "1e"}) {
+    SCOPED_TRACE(bad);
+    const std::string at =
+        std::string("[{\"oracle\":\"mutual_exclusion\",\"at_ns\": ") + bad +
+        "}]";
+    EXPECT_THROW((void)read_violations_json(at), std::runtime_error);
+    const std::string sites = std::string("[{\"sites\": [") + bad + "]}]";
+    EXPECT_THROW((void)read_violations_json(sites), std::runtime_error);
+  }
+  // Well-formed numbers still load.
+  const std::vector<Violation> ok = read_violations_json(
+      "[{\"at_ns\": -12, \"sites\": [3], \"resources\": [0, 1e1]}]");
+  ASSERT_EQ(ok.size(), 1u);
+  EXPECT_EQ(ok[0].at, -12);
+  EXPECT_EQ(ok[0].sites, std::vector<SiteId>{3});
+  EXPECT_EQ(ok[0].resources, (std::vector<ResourceId>{0, 10}));
+}
+
 // ---------------------------------------------------------------------------
 // Monitor bookkeeping
 // ---------------------------------------------------------------------------

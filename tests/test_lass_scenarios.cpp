@@ -4,10 +4,16 @@
 // cannot distinguish.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 
+#include "algo/factory.hpp"
 #include "algo/lass/node.hpp"
+#include "check/event.hpp"
 #include "net/network.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/runner.hpp"
 
 namespace mra::algo::lass {
 namespace {
@@ -270,6 +276,100 @@ TEST(LassScenario, RequestWhileOwningAllIsSynchronous) {
   EXPECT_EQ(f.net.total_messages(), 0u);
   f.node(0).release();
   EXPECT_EQ(f.node(0).state(), ProcessState::kIdle);
+}
+
+// ---------------------------------------------------------------------------
+// Whole-run invariants of the per-site caches, checked from an observer
+// while a registry scenario runs.
+// ---------------------------------------------------------------------------
+
+/// Calls `check` on every LASS node of the running system on every
+/// `every`-th observed event (sends, deliveries, CS events).
+class NodeProbe final : public check::Observer {
+ public:
+  NodeProbe(std::uint64_t every, std::function<void(const LassNode&)> check)
+      : every_(every), check_(std::move(check)) {}
+
+  void wire(AllocationSystem& system) { system_ = &system; }
+  [[nodiscard]] std::uint64_t probes() const { return probes_; }
+
+  void on_event(const check::Event& /*event*/) override {
+    if (system_ == nullptr || ++events_ % every_ != 0) return;
+    ++probes_;
+    for (SiteId s = 0; s < system_->num_sites(); ++s) {
+      check_(dynamic_cast<const LassNode&>(system_->node(s)));
+    }
+  }
+
+ private:
+  std::uint64_t every_;
+  std::function<void(const LassNode&)> check_;
+  AllocationSystem* system_ = nullptr;
+  std::uint64_t events_ = 0;
+  std::uint64_t probes_ = 0;
+};
+
+scenario::ScenarioSpec short_run(const char* name, double measure_ms) {
+  scenario::ScenarioSpec spec = scenario::find_scenario(name);
+  spec.warmup = 0;
+  spec.measure = sim::from_ms(measure_ms);
+  return spec;
+}
+
+TEST(LassCaches, CachedMarkMatchesPolicyAfterEveryDelivery) {
+  // current_mark() is cached and must be invalidated by every write to the
+  // counter vector. kDeliver is emitted before the handler runs, so probing
+  // on every event sees the state after each delivery (and mid-handler).
+  for (MarkPolicy policy :
+       {MarkPolicy::kAverageNonZero, MarkPolicy::kMaxValue,
+        MarkPolicy::kSumNonZero, MarkPolicy::kMinNonZero}) {
+    SCOPED_TRACE(to_string(policy));
+    scenario::ScenarioSpec spec = short_run("paper-phi80", 1000);
+    spec.system.mark_policy = policy;
+    std::uint64_t mismatches = 0;
+    NodeProbe probe(1, [&](const LassNode& n) {
+      const double want = apply_mark(policy, n.counter_vector());
+      if (std::bit_cast<std::uint64_t>(n.current_mark()) !=
+          std::bit_cast<std::uint64_t>(want)) {
+        ++mismatches;
+      }
+    });
+    const auto result = scenario::run_scenario(
+        spec, Algorithm::kLassWithLoan, &probe,
+        [&](AllocationSystem& system) { probe.wire(system); });
+    EXPECT_GT(result.requests_completed, 0u);
+    EXPECT_GT(probe.probes(), 1000u);
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+TEST(LassCaches, SlotLookupFindsItsOwnResource) {
+  // slot() has an O(1) path (entry r holds key r once slots 0..r all
+  // exist) and a binary-search path. Both must land on r's own slot, in a
+  // run where the slots fill up (phi=80: every CS holds all 80 tokens) and
+  // in one where they stay sparse (phi=4, 50 ms).
+  struct Case {
+    const char* scenario;
+    double measure_ms;
+    std::uint64_t every;
+  };
+  for (const Case& c :
+       {Case{"paper-phi80", 1000, 64}, Case{"paper-phi4", 50, 1}}) {
+    SCOPED_TRACE(c.scenario);
+    const scenario::ScenarioSpec spec = short_run(c.scenario, c.measure_ms);
+    std::uint64_t wrong = 0;
+    NodeProbe probe(c.every, [&](const LassNode& n) {
+      for (ResourceId r = 0; r < spec.system.num_resources; ++r) {
+        if (n.token_snapshot(r).r != r) ++wrong;
+      }
+    });
+    const auto result = scenario::run_scenario(
+        spec, Algorithm::kLassWithoutLoan, &probe,
+        [&](AllocationSystem& system) { probe.wire(system); });
+    EXPECT_GT(result.requests_completed, 0u);
+    EXPECT_GT(probe.probes(), 10u);
+    EXPECT_EQ(wrong, 0u);
+  }
 }
 
 }  // namespace
